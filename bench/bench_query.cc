@@ -171,24 +171,29 @@ RunResult RunConfig(const Mix& mix, std::size_t shards,
     if (!engine->RegisterQuery(spec).ok()) std::abort();
   }
 
-  const std::size_t per_producer = total / producers;
+  const std::size_t ticks = total / kStreams;
   Stopwatch watch;
   watch.Start();
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
-      const std::size_t begin = p * per_producer;
-      for (std::size_t i = 0; i < per_producer; ++i) {
-        const std::size_t global = begin + i;
-        const StreamId stream = static_cast<StreamId>(global % kStreams);
-        const double value = ValueAt(stream, global / kStreams);
-        if (!engine->Post(stream, value).ok()) std::abort();
+      // Each producer owns the streams s = p (mod producers), so every
+      // stream's value order is fixed whatever the thread interleaving.
+      for (std::size_t t = 0; t < ticks; ++t) {
+        for (std::size_t s = p; s < kStreams; s += producers) {
+          if (!engine->Post(static_cast<StreamId>(s), ValueAt(s, t)).ok()) {
+            std::abort();
+          }
+        }
       }
     });
   }
   for (auto& t : threads) t.join();
   if (!engine->Flush().ok()) std::abort();
   watch.Stop();
+  // The correlator keeps publishing until Stop(), so the bus counters are
+  // read after it, where they agree with the sink's count.
+  if (!engine->Stop().ok()) std::abort();
 
   RunResult result;
   result.seconds = watch.ElapsedSeconds();
@@ -200,7 +205,6 @@ RunResult RunConfig(const Mix& mix, std::size_t shards,
   result.p50_ns = bus.delivery_latency().PercentileNanos(0.50);
   result.p99_ns = bus.delivery_latency().PercentileNanos(0.99);
   result.correlator_rounds = engine->metrics().correlator_rounds.load();
-  if (!engine->Stop().ok()) std::abort();
   if (sink_count.load() != result.delivered) std::abort();
   return result;
 }

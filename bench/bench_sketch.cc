@@ -1,9 +1,10 @@
-// Sketch measure maintenance cost: batched AppendRun vs tuple-at-a-time.
+// Sketch measure maintenance cost: batched AppendRun vs tuple-at-a-time,
+// and the cost of one windowed Estimate().
 //
 // Drives each sketch kind (approximate distinct, heavy hitters, windowed
 // quantile) the way the per-shard pipeline does — one measure per stream,
-// tuples arriving tick-interleaved across all streams — in two modes over
-// identical data:
+// tuples arriving tick-interleaved across all streams — in three modes
+// over identical data:
 //
 //   scalar   tuple-at-a-time in arrival order: every tick touches every
 //            stream's measure once (one virtual Append per tuple), so the
@@ -11,12 +12,15 @@
 //   batched  the columnar path: `run` ticks are buffered, regrouped into
 //            per-stream runs, and applied with one AppendRun per run, so
 //            one stream's state stays hot for the whole run
+//   estimate the batched mode plus one Estimate() per applied run, as the
+//            shard evaluates each touched stream after a batch; only the
+//            Estimate() calls are timed, reported as estimate_ns per call
 //
-// Each stream sees the same values in the same order in both modes, and
-// AppendRun is state-identical to n scalar Appends, so both modes end in
+// Each stream sees the same values in the same order in every mode, and
+// AppendRun is state-identical to n scalar Appends, so all modes end in
 // identical sketch state — the estimate digest printed per line proves
 // it. One JSON line per (kind, run length) on stdout with ns/append,
-// bytes/stream, and the batched speedup; prose to stderr:
+// ns/estimate, bytes/stream, and the batched speedup; prose to stderr:
 //
 //   $ ./build/bench/bench_sketch > BENCH_SKETCH.json
 //
@@ -52,18 +56,22 @@ SketchConfig ConfigFor(SketchKind kind) {
   return config;
 }
 
+enum class Mode { kScalar, kBatched, kEstimate };
+
 struct ModeResult {
   double ns_per_append = 0.0;
+  double ns_per_estimate = 0.0;  // kEstimate only
   double estimate_digest = 0.0;
   std::size_t bytes_per_stream = 0;
 };
 
 /// Feeds `steps` ticks of `kStreams` streams, tuple-at-a-time in arrival
 /// order (tick-interleaved) or columnar-batched in per-stream runs of
-/// `run` ticks. Each stream sees the same per-stream value sequence in
-/// both modes.
+/// `run` ticks, the latter optionally followed by one estimate per
+/// stream per run. Each stream sees the same per-stream value sequence in
+/// every mode.
 ModeResult RunMode(SketchKind kind, std::size_t steps, std::size_t run,
-                   bool batched) {
+                   Mode mode) {
   const SketchConfig config = ConfigFor(kind);
   std::vector<std::unique_ptr<SketchMeasure>> measures;
   for (std::size_t s = 0; s < kStreams; ++s) {
@@ -81,15 +89,26 @@ ModeResult RunMode(SketchKind kind, std::size_t steps, std::size_t run,
                    : std::floor(rng.NextDouble(0.0, 4096.0));
   }
 
-  const auto start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  Clock::duration estimating{};
   std::uint64_t appends = 0;
+  std::uint64_t estimates = 0;
   for (std::size_t at = 0; at < steps; at += run) {
     const std::size_t n = std::min(run, steps - at);
-    if (batched) {
+    if (mode != Mode::kScalar) {
       // Columnar: the batch is regrouped per stream, one AppendRun per
       // stream covering the whole batch of ticks.
       for (std::size_t s = 0; s < kStreams; ++s) {
         measures[s]->AppendRun(values.data() + s * steps + at, n);
+      }
+      if (mode == Mode::kEstimate && measures[0]->Ready()) {
+        // Every stream has seen the same number of values, so all are
+        // ready together.
+        const auto estimate_start = Clock::now();
+        for (auto& measure : measures) measure->Estimate();
+        estimating += Clock::now() - estimate_start;
+        estimates += kStreams;
       }
     } else {
       // Arrival order: tick by tick across every stream.
@@ -102,13 +121,15 @@ ModeResult RunMode(SketchKind kind, std::size_t steps, std::size_t run,
     appends += n * kStreams;
   }
   const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start)
+      std::chrono::duration<double>(Clock::now() - start - estimating)
           .count();
 
   ModeResult result;
   result.ns_per_append =
       seconds * 1e9 / static_cast<double>(appends == 0 ? 1 : appends);
+  result.ns_per_estimate =
+      std::chrono::duration<double, std::nano>(estimating).count() /
+      static_cast<double>(estimates == 0 ? 1 : estimates);
   for (auto& measure : measures) {
     result.estimate_digest += measure->Estimate();
     result.bytes_per_stream = measure->MemoryBytes();
@@ -134,17 +155,20 @@ int main() {
   for (const SketchKind kind : kinds) {
     for (std::size_t ri = 0; ri < sizeof(runs) / sizeof(runs[0]); ++ri) {
       const std::size_t run = runs[ri];
-      const ModeResult scalar = RunMode(kind, steps, run, false);
-      const ModeResult batched = RunMode(kind, steps, run, true);
+      const ModeResult scalar = RunMode(kind, steps, run, Mode::kScalar);
+      const ModeResult batched = RunMode(kind, steps, run, Mode::kBatched);
+      const ModeResult estimated =
+          RunMode(kind, steps, run, Mode::kEstimate);
       const double speedup =
           batched.ns_per_append == 0.0
               ? 0.0
               : scalar.ns_per_append / batched.ns_per_append;
-      if (scalar.estimate_digest != batched.estimate_digest) {
+      if (scalar.estimate_digest != batched.estimate_digest ||
+          estimated.estimate_digest != batched.estimate_digest) {
         std::fprintf(stderr,
-                     "DIGEST MISMATCH kind=%s run=%zu %.6f != %.6f\n",
+                     "DIGEST MISMATCH kind=%s run=%zu %.6f / %.6f / %.6f\n",
                      SketchKindName(kind), run, scalar.estimate_digest,
-                     batched.estimate_digest);
+                     batched.estimate_digest, estimated.estimate_digest);
         return 1;
       }
       std::printf(
@@ -152,16 +176,18 @@ int main() {
           "\"streams\":%zu,\"steps\":%zu,"
           "\"scalar_ns_per_append\":%.1f,"
           "\"batched_ns_per_append\":%.1f,"
-          "\"speedup\":%.2f,\"bytes_per_stream\":%zu,"
-          "\"estimate_digest\":%.3f}\n",
+          "\"speedup\":%.2f,\"estimate_ns\":%.1f,"
+          "\"bytes_per_stream\":%zu,\"estimate_digest\":%.3f}\n",
           SketchKindName(kind), run, kStreams, steps,
           scalar.ns_per_append, batched.ns_per_append, speedup,
-          batched.bytes_per_stream, batched.estimate_digest);
+          estimated.ns_per_estimate, batched.bytes_per_stream,
+          batched.estimate_digest);
       std::fprintf(stderr,
                    "  %-13s run %3zu: scalar %7.1f ns  batched %7.1f ns  "
-                   "(%.2fx)\n",
+                   "(%.2fx)  estimate %8.1f ns\n",
                    SketchKindName(kind), run, scalar.ns_per_append,
-                   batched.ns_per_append, speedup);
+                   batched.ns_per_append, speedup,
+                   estimated.ns_per_estimate);
       geomean[ri] *= speedup;
     }
   }

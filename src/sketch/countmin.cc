@@ -67,13 +67,16 @@ void CountMin::AddSpan(const double* values, std::size_t n) {
     total_ += len;
     for (std::size_t i = 0; i < len; ++i) {
       const std::size_t* slots = idx + i * depth_;
-      std::uint64_t est = UINT64_MAX;
+      std::uint32_t est = UINT32_MAX;
+      std::uint32_t top = 0;
       std::uint32_t* row = counters_.data();
       for (std::size_t r = 0; r < depth_; ++r, row += width_) {
         std::uint32_t& c = row[slots[r]];
         if (c != UINT32_MAX) ++c;
-        est = std::min<std::uint64_t>(est, c);
+        est = std::min(est, c);
+        top = std::max(top, c);
       }
+      max_count_ = std::max(max_count_, top);
       OfferCandidate(bits[i], est);
     }
   }
@@ -130,64 +133,57 @@ void CountMin::RecomputeCandidateFloor() {
   candidate_floor_ = floor;
 }
 
-std::uint64_t CountMin::EstimateCount(double value) const {
-  return EstimateBits(SketchValueBits(value));
-}
-
 std::size_t CountMin::HeavyHitterCount(double phi) const {
   const double cutoff = phi * static_cast<double>(total_);
   std::size_t hitters = 0;
   for (const Candidate& c : candidates_) {
-    // Re-estimate from the counters: the stored count can be stale for a
-    // candidate last touched before its frequency grew via Merge.
+    // Re-estimate from the counters: the stored count is stale once
+    // other values colliding with the candidate raise its counters.
     if (static_cast<double>(EstimateBits(c.bits)) >= cutoff) ++hitters;
   }
   return hitters;
 }
 
-Status CountMin::Merge(const CountMin& other) {
-  if (other.width_ != width_ || other.depth_ != depth_ ||
-      other.capacity_ != capacity_) {
-    return Status::InvalidArgument("CountMin merge shape mismatch");
-  }
+void CountMin::AddCounters(const CountMin& other) {
+  SD_DCHECK(other.width_ == width_ && other.depth_ == depth_);
+  std::uint32_t top = 0;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    const std::uint64_t sum =
-        std::uint64_t{counters_[i]} + other.counters_[i];
-    counters_[i] = sum > UINT32_MAX ? UINT32_MAX
-                                    : static_cast<std::uint32_t>(sum);
+    counters_[i] += other.counters_[i];
+    top = std::max(top, counters_[i]);
   }
+  max_count_ = top;
   total_ += other.total_;
-  // Union the candidate sets, re-estimate everything against the merged
-  // counters, and keep the strongest `capacity_` (count desc, bits asc —
-  // deterministic regardless of insertion history).
-  std::vector<Candidate> merged;
-  merged.reserve(candidates_.size() + other.candidates_.size());
-  for (const Candidate& c : candidates_) {
-    merged.push_back({c.bits, EstimateBits(c.bits)});
+}
+
+void CountMin::SlideCounters(const CountMin& entering,
+                             const CountMin& leaving) {
+  SD_DCHECK(entering.width_ == width_ && entering.depth_ == depth_);
+  SD_DCHECK(leaving.width_ == width_ && leaving.depth_ == depth_);
+  std::uint32_t top = 0;
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i] = counters_[i] + entering.counters_[i] -
+                   leaving.counters_[i];
+    top = std::max(top, counters_[i]);
   }
-  for (const Candidate& c : other.candidates_) {
-    if (candidate_index_.find(c.bits) != candidate_index_.end()) continue;
-    merged.push_back({c.bits, EstimateBits(c.bits)});
+  max_count_ = top;
+  total_ = total_ + entering.total_ - leaving.total_;
+}
+
+std::uint64_t CountMin::EstimateBitsPlus(const CountMin& other,
+                                         std::uint64_t bits) const {
+  SD_DCHECK(other.width_ == width_ && other.depth_ == depth_);
+  std::uint64_t est = UINT64_MAX;
+  for (std::size_t r = 0; r < depth_; ++r) {
+    const std::size_t i = r * width_ + Index(r, bits);
+    est = std::min(est, std::uint64_t{counters_[i]} + other.counters_[i]);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.count != b.count) return a.count > b.count;
-              return a.bits < b.bits;
-            });
-  if (merged.size() > capacity_) merged.resize(capacity_);
-  candidates_ = std::move(merged);
-  candidate_index_.clear();
-  for (std::size_t i = 0; i < candidates_.size(); ++i) {
-    candidate_index_.emplace(candidates_[i].bits, i);
-  }
-  candidate_floor_ = 0;
-  if (candidates_.size() == capacity_) RecomputeCandidateFloor();
-  return Status::OK();
+  return est;
 }
 
 void CountMin::Clear() {
   std::fill(counters_.begin(), counters_.end(), 0);
   total_ = 0;
+  max_count_ = 0;
   candidates_.clear();
   candidate_index_.clear();
   candidate_floor_ = 0;
@@ -222,8 +218,10 @@ Status CountMin::RestoreFrom(Reader* reader) {
     return Status::InvalidArgument("CountMin snapshot shape mismatch");
   }
   SD_RETURN_NOT_OK(reader->U64(&total_));
+  max_count_ = 0;
   for (std::uint32_t& c : counters_) {
     SD_RETURN_NOT_OK(reader->U32(&c));
+    max_count_ = std::max(max_count_, c);
   }
   std::uint64_t num_candidates = 0;
   SD_RETURN_NOT_OK(reader->U64(&num_candidates));

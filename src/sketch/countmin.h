@@ -7,8 +7,9 @@
 // candidate set is the classic CountMin+heap construction: up to
 // `candidates` values currently believed most frequent, updated at add
 // time, so heavy-hitter queries never scan the value domain. Counters
-// merge by element-wise addition (the windowed bucket ring in
-// sketch/measure.h relies on this).
+// merge by element-wise addition and, within one window, un-merge by
+// subtraction (the windowed bucket ring in sketch/measure.h relies on
+// both).
 #ifndef STARDUST_SKETCH_COUNTMIN_H_
 #define STARDUST_SKETCH_COUNTMIN_H_
 
@@ -38,17 +39,40 @@ class CountMin {
   /// Point estimate (row minimum) of how often `value` was added. Never
   /// underestimates; overestimates by at most epsilon * total() with
   /// probability 1 - e^-depth.
-  std::uint64_t EstimateCount(double value) const;
+  std::uint64_t EstimateCount(double value) const {
+    return EstimateBits(SketchValueBits(value));
+  }
+  /// EstimateCount of the value with SketchValueBits `bits`.
+  std::uint64_t EstimateBits(std::uint64_t bits) const;
   /// Values ever added.
   std::uint64_t total() const { return total_; }
+  /// Largest counter: an upper bound on every point estimate.
+  std::uint32_t max_count() const { return max_count_; }
   /// Tracked candidates whose current estimate is >= phi * total().
   std::size_t HeavyHitterCount(double phi) const;
 
-  /// Element-wise counter addition + candidate-set union (re-estimated
-  /// against the merged counters, truncated back to capacity). `other`
-  /// must share this sketch's shape.
-  Status Merge(const CountMin& other);
+  /// Counter-only union: adds `other`'s counters and total, leaving the
+  /// candidate set alone. `other` must share this sketch's shape, and the
+  /// sums must fit in uint32 (the windowed measure caps its window at
+  /// 2^31 values for this).
+  void AddCounters(const CountMin& other);
+  /// One pass of AddCounters(entering) and its inverse for `leaving`,
+  /// which must already be part of the sum: slides a counter sum over a
+  /// bucket ring.
+  void SlideCounters(const CountMin& entering, const CountMin& leaving);
+  /// Point estimate of the value with SketchValueBits `bits` against the
+  /// element-wise sum of this sketch's counters and `other`'s, without
+  /// materializing the sum. `other` must share this sketch's shape.
+  std::uint64_t EstimateBitsPlus(const CountMin& other,
+                                 std::uint64_t bits) const;
   void Clear();
+
+  struct Candidate {
+    std::uint64_t bits = 0;   // SketchValueBits of the tracked value
+    std::uint64_t count = 0;  // estimate when last touched
+  };
+  /// Tracked heavy-hitter candidates, in no particular order.
+  const std::vector<Candidate>& candidates() const { return candidates_; }
 
   std::size_t width() const { return width_; }
   std::size_t depth() const { return depth_; }
@@ -59,18 +83,12 @@ class CountMin {
   Status RestoreFrom(Reader* reader);
 
  private:
-  struct Candidate {
-    std::uint64_t bits = 0;   // SketchValueBits of the tracked value
-    std::uint64_t count = 0;  // estimate when last touched
-  };
-
   /// Per-row counter index of a value's hash.
   std::size_t Index(std::size_t row, std::uint64_t bits) const {
     return static_cast<std::size_t>(
                SketchHash64(bits ^ row_seeds_[row])) &
            (width_ - 1);
   }
-  std::uint64_t EstimateBits(std::uint64_t bits) const;
   void OfferCandidate(std::uint64_t bits, std::uint64_t estimate);
   void RecomputeCandidateFloor();
 
@@ -79,6 +97,7 @@ class CountMin {
   std::size_t depth_ = 0;
   std::size_t capacity_ = 0;
   std::uint64_t total_ = 0;
+  std::uint32_t max_count_ = 0;
   /// depth_ rows of width_ counters, row-major.
   std::vector<std::uint32_t> counters_;
   std::vector<std::uint64_t> row_seeds_;

@@ -1,6 +1,5 @@
 #include "sketch/hll.h"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -21,6 +20,17 @@ double AlphaM(std::size_t m) {
   }
 }
 
+/// 2^-r for every possible register value r.
+constexpr std::array<double, HyperLogLog::kRankSlots> kInversePowers = [] {
+  std::array<double, HyperLogLog::kRankSlots> powers{};
+  double p = 1.0;
+  for (double& x : powers) {
+    x = p;
+    p *= 0.5;
+  }
+  return powers;
+}();
+
 }  // namespace
 
 HyperLogLog::HyperLogLog(std::size_t precision) : precision_(precision) {
@@ -28,65 +38,37 @@ HyperLogLog::HyperLogLog(std::size_t precision) : precision_(precision) {
   registers_.assign(std::size_t{1} << precision_, 0);
 }
 
-void HyperLogLog::AddHash(std::uint64_t hash) {
-  const std::size_t index =
-      static_cast<std::size_t>(hash >> (64 - precision_));
-  // Rank of the first set bit in the remaining 64 - precision bits,
-  // 1-based; an all-zero suffix ranks one past the suffix width.
-  const std::uint64_t suffix = hash << precision_;
-  const std::uint8_t rank = static_cast<std::uint8_t>(
-      suffix == 0 ? 65 - precision_ : std::countl_zero(suffix) + 1);
-  if (rank > registers_[index]) registers_[index] = rank;
-}
-
-void HyperLogLog::AddSpan(const double* values, std::size_t n) {
-  // Four independent hash chains per iteration: the splitmix mixing of
-  // consecutive values has no cross dependencies, so the unroll keeps the
-  // multiply pipeline full instead of serializing on one chain.
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const std::uint64_t h0 = SketchHash64(SketchValueBits(values[i]));
-    const std::uint64_t h1 = SketchHash64(SketchValueBits(values[i + 1]));
-    const std::uint64_t h2 = SketchHash64(SketchValueBits(values[i + 2]));
-    const std::uint64_t h3 = SketchHash64(SketchValueBits(values[i + 3]));
-    AddHash(h0);
-    AddHash(h1);
-    AddHash(h2);
-    AddHash(h3);
-  }
-  for (; i < n; ++i) {
-    AddHash(SketchHash64(SketchValueBits(values[i])));
-  }
-}
-
 double HyperLogLog::Estimate() const {
-  const std::size_t m = registers_.size();
+  RankHistogram hist;
+  FillHistogram(registers_.data(), registers_.size(), &hist);
+  return EstimateFromHistogram(hist, registers_.size());
+}
+
+void HyperLogLog::FillHistogram(const std::uint8_t* registers,
+                                std::size_t m, RankHistogram* hist) {
+  hist->fill(0);
+  for (std::size_t i = 0; i < m; ++i) ++(*hist)[registers[i]];
+}
+
+double HyperLogLog::EstimateFromHistogram(const RankHistogram& hist,
+                                          std::size_t m) {
+  // Each term is a multiple of 2^-max_rank and the sum is at most m, so
+  // the sum is exact, and equal to a per-register sum in any order, while
+  // every register stays <= 53 - precision (a register reaches rank r
+  // after about 2^r distinct values in its substream).
   double sum = 0.0;
-  std::size_t zeros = 0;
-  for (std::uint8_t r : registers_) {
-    sum += std::ldexp(1.0, -static_cast<int>(r));
-    zeros += r == 0 ? 1 : 0;
+  for (std::size_t r = kRankSlots; r-- > 0;) {
+    sum += static_cast<double>(hist[r]) * kInversePowers[r];
   }
   const double md = static_cast<double>(m);
   const double raw = AlphaM(m) * md * md / sum;
   // Small-range correction: linear counting over the empty registers is
   // far more accurate than the raw estimator below ~2.5m.
+  const std::uint32_t zeros = hist[0];
   if (raw <= 2.5 * md && zeros > 0) {
     return md * std::log(md / static_cast<double>(zeros));
   }
   return raw;
-}
-
-Status HyperLogLog::Merge(const HyperLogLog& other) {
-  if (other.precision_ != precision_) {
-    return Status::InvalidArgument("HLL merge precision mismatch");
-  }
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    if (other.registers_[i] > registers_[i]) {
-      registers_[i] = other.registers_[i];
-    }
-  }
-  return Status::OK();
 }
 
 void HyperLogLog::Clear() {

@@ -19,17 +19,23 @@ std::uint64_t BucketWidth(const SketchConfig& config) {
 /// Windowed distinct count: ring of buckets+1 HLLs; the newest bucket
 /// absorbs arrivals, a full bucket rotates the ring onto the oldest, and
 /// the estimate is the union (register max) of every live bucket, so
-/// coverage stays in [window, window + bucket_width).
+/// coverage stays in [window, window + bucket_width). The union is kept
+/// live with a histogram of its register values: an arrival that raises a
+/// head register raises the union register with it, a rotation lowers the
+/// union registers that only the evicted bucket held, and Estimate() reads
+/// only the histogram — bit-identical to estimating a merged copy of the
+/// live buckets.
 class DistinctMeasure final : public SketchMeasure {
  public:
   explicit DistinctMeasure(const SketchConfig& config)
       : config_(config),
         width_(BucketWidth(config)),
-        scratch_(config.hll_precision) {
+        union_(std::size_t{1} << config.hll_precision, 0) {
     ring_.reserve(config.buckets + 1);
     for (std::uint64_t i = 0; i <= config.buckets; ++i) {
       ring_.emplace_back(config.hll_precision);
     }
+    RebuildUnion();
   }
 
   void Append(double value) override { AppendRun(&value, 1); }
@@ -40,12 +46,18 @@ class DistinctMeasure final : public SketchMeasure {
     while (n > 0) {
       const std::size_t take = static_cast<std::size_t>(
           std::min<std::uint64_t>(n, width_ - fill_));
-      ring_[head_].AddSpan(values, take);
+      // The union dominates every bucket, so only a head register that
+      // rises can raise it.
+      ring_[head_].AddSpan(values, take,
+                           [this](std::size_t index, std::uint8_t rank) {
+                             if (rank > union_[index]) SetUnion(index, rank);
+                           });
       values += take;
       n -= take;
       fill_ += take;
       if (fill_ == width_) {
         head_ = (head_ + 1) % ring_.size();
+        EvictHead();
         ring_[head_].Clear();
         fill_ = 0;
       }
@@ -56,16 +68,11 @@ class DistinctMeasure final : public SketchMeasure {
 
   double Estimate() const override {
     ++estimate_calls_;
-    scratch_.Clear();
-    for (const HyperLogLog& bucket : ring_) {
-      SD_CHECK(scratch_.Merge(bucket).ok());
-      ++merges_;
-    }
-    return scratch_.Estimate();
+    return HyperLogLog::EstimateFromHistogram(histogram_, union_.size());
   }
 
   std::size_t MemoryBytes() const override {
-    return (ring_.size() + 1) * scratch_.MemoryBytes();
+    return (ring_.size() + 1) * union_.size() + sizeof(histogram_);
   }
 
   void SaveTo(Writer* writer) const override {
@@ -93,28 +100,72 @@ class DistinctMeasure final : public SketchMeasure {
     for (HyperLogLog& bucket : ring_) {
       SD_RETURN_NOT_OK(bucket.RestoreFrom(reader));
     }
+    RebuildUnion();
     return Status::OK();
   }
 
  private:
+  void SetUnion(std::size_t index, std::uint8_t rank) {
+    std::uint8_t& u = union_[index];
+    --histogram_[u];
+    ++histogram_[rank];
+    u = rank;
+  }
+
+  /// Re-unions the live buckets other than the head (about to be cleared)
+  /// at the registers where the head held the union's value; no other
+  /// union register can fall.
+  void EvictHead() {
+    const std::uint8_t* evicted = ring_[head_].registers();
+    for (std::size_t i = 0; i < union_.size(); ++i) {
+      if (evicted[i] == 0 || evicted[i] != union_[i]) continue;
+      std::uint8_t rest = 0;
+      for (std::size_t b = 0; b < ring_.size(); ++b) {
+        if (b != head_) rest = std::max(rest, ring_[b].registers()[i]);
+      }
+      SetUnion(i, rest);
+    }
+    merges_ += ring_.size() - 1;
+  }
+
+  void RebuildUnion() {
+    std::fill(union_.begin(), union_.end(), 0);
+    for (const HyperLogLog& bucket : ring_) {
+      for (std::size_t i = 0; i < union_.size(); ++i) {
+        union_[i] = std::max(union_[i], bucket.registers()[i]);
+      }
+    }
+    HyperLogLog::FillHistogram(union_.data(), union_.size(), &histogram_);
+  }
+
   SketchConfig config_;
   std::uint64_t width_;
   std::vector<HyperLogLog> ring_;
   std::size_t head_ = 0;
   std::uint64_t fill_ = 0;
   std::uint64_t total_ = 0;
-  mutable HyperLogLog scratch_;
+  // Derived from ring_, not serialized: register max over the live
+  // buckets, and the histogram of its register values.
+  std::vector<std::uint8_t> union_;
+  HyperLogLog::RankHistogram histogram_{};
 };
 
-/// Windowed heavy-hitter count: same ring as DistinctMeasure but over
-/// CountMin (counters merge by addition), estimating how many values
-/// exceed frequency phi within the covered window.
+/// Windowed heavy-hitter count over the same ring as DistinctMeasure, of
+/// CountMins. `closed_` holds the counter sum of the live buckets other
+/// than the head, and `closed_candidates_` the union of their candidate
+/// sets; a rotation adds the filled head into `closed_` and subtracts the
+/// evicted bucket, in one pass, before clearing it. Estimate() counts the
+/// distinct values among all live buckets' candidates whose row minimum
+/// over the window counters (`closed_` plus the head) is at least phi
+/// times the window total. The window counters equal a merged copy's, so
+/// every counted value keeps CountMin's bounds: never under its true
+/// window frequency, over it by at most epsilon * window total.
 class HeavyHittersMeasure final : public SketchMeasure {
  public:
   explicit HeavyHittersMeasure(const SketchConfig& config)
       : config_(config),
         width_(BucketWidth(config)),
-        scratch_(config.epsilon, config.depth, config.candidates) {
+        closed_(config.epsilon, config.depth, config.candidates) {
     ring_.reserve(config.buckets + 1);
     for (std::uint64_t i = 0; i <= config.buckets; ++i) {
       ring_.emplace_back(config.epsilon, config.depth, config.candidates);
@@ -134,9 +185,13 @@ class HeavyHittersMeasure final : public SketchMeasure {
       n -= take;
       fill_ += take;
       if (fill_ == width_) {
+        const std::size_t filled = head_;
         head_ = (head_ + 1) % ring_.size();
+        closed_.SlideCounters(ring_[filled], ring_[head_]);
         ring_[head_].Clear();
         fill_ = 0;
+        CollectClosedCandidates();
+        merges_ += ring_.size() - 1;
       }
     }
   }
@@ -145,16 +200,35 @@ class HeavyHittersMeasure final : public SketchMeasure {
 
   double Estimate() const override {
     ++estimate_calls_;
-    scratch_.Clear();
-    for (const CountMin& bucket : ring_) {
-      SD_CHECK(scratch_.Merge(bucket).ok());
-      ++merges_;
+    const CountMin& head = ring_[head_];
+    const double cutoff =
+        config_.phi * static_cast<double>(closed_.total() + head.total());
+    const auto heavy = [&](std::uint64_t bits) {
+      return static_cast<double>(closed_.EstimateBitsPlus(head, bits)) >=
+             cutoff;
+    };
+    // The head adds at most its largest counter to any estimate, which
+    // rules out most candidates without hashing them.
+    const std::uint64_t head_max = head.max_count();
+    std::size_t hitters = 0;
+    for (const ClosedCandidate& c : closed_candidates_) {
+      if (static_cast<double>(c.closed_estimate + head_max) >= cutoff &&
+          heavy(c.bits)) {
+        ++hitters;
+      }
     }
-    return static_cast<double>(scratch_.HeavyHitterCount(config_.phi));
+    if (static_cast<double>(closed_.max_count() + head_max) < cutoff) {
+      return static_cast<double>(hitters);
+    }
+    for (const CountMin::Candidate& c : head.candidates()) {
+      if (heavy(c.bits) && !IsClosedCandidate(c.bits)) ++hitters;
+    }
+    return static_cast<double>(hitters);
   }
 
   std::size_t MemoryBytes() const override {
-    return (ring_.size() + 1) * scratch_.MemoryBytes();
+    return (ring_.size() + 1) * closed_.MemoryBytes() +
+           closed_candidates_.capacity() * sizeof(ClosedCandidate);
   }
 
   void SaveTo(Writer* writer) const override {
@@ -183,17 +257,65 @@ class HeavyHittersMeasure final : public SketchMeasure {
     for (CountMin& bucket : ring_) {
       SD_RETURN_NOT_OK(bucket.RestoreFrom(reader));
     }
+    closed_.Clear();
+    for (std::size_t b = 0; b < ring_.size(); ++b) {
+      if (b != head_) closed_.AddCounters(ring_[b]);
+    }
+    CollectClosedCandidates();
     return Status::OK();
   }
 
  private:
+  struct ClosedCandidate {
+    std::uint64_t bits = 0;
+    std::uint64_t closed_estimate = 0;  // row minimum over closed_
+  };
+
+  /// Union of the non-head buckets' candidates, sorted by value bits,
+  /// less those that cannot count before the next rotation: until then
+  /// the head adds less than a bucket width to any counter, and the
+  /// cutoff is at least phi times closed_'s total.
+  void CollectClosedCandidates() {
+    const double floor = config_.phi * static_cast<double>(closed_.total());
+    closed_candidates_.clear();
+    for (std::size_t b = 0; b < ring_.size(); ++b) {
+      if (b == head_) continue;
+      for (const CountMin::Candidate& c : ring_[b].candidates()) {
+        const std::uint64_t estimate = closed_.EstimateBits(c.bits);
+        if (static_cast<double>(estimate + width_) >= floor) {
+          closed_candidates_.push_back({c.bits, estimate});
+        }
+      }
+    }
+    std::sort(closed_candidates_.begin(), closed_candidates_.end(),
+              [](const ClosedCandidate& x, const ClosedCandidate& y) {
+                return x.bits < y.bits;
+              });
+    closed_candidates_.erase(
+        std::unique(closed_candidates_.begin(), closed_candidates_.end(),
+                    [](const ClosedCandidate& x, const ClosedCandidate& y) {
+                      return x.bits == y.bits;
+                    }),
+        closed_candidates_.end());
+  }
+
+  bool IsClosedCandidate(std::uint64_t bits) const {
+    const auto it = std::lower_bound(
+        closed_candidates_.begin(), closed_candidates_.end(), bits,
+        [](const ClosedCandidate& c, std::uint64_t b) { return c.bits < b; });
+    return it != closed_candidates_.end() && it->bits == bits;
+  }
+
   SketchConfig config_;
   std::uint64_t width_;
   std::vector<CountMin> ring_;
   std::size_t head_ = 0;
   std::uint64_t fill_ = 0;
   std::uint64_t total_ = 0;
-  mutable CountMin scratch_;
+  // Derived from ring_, not serialized (closed_'s own candidate set stays
+  // empty).
+  CountMin closed_;
+  std::vector<ClosedCandidate> closed_candidates_;
 };
 
 /// Windowed quantile. P² markers are not mergeable, so instead of a
@@ -303,8 +425,10 @@ Status SketchConfig::Validate() const {
       kind != SketchKind::kQuantile) {
     return Status::InvalidArgument("unknown sketch kind");
   }
-  if (window < 1) {
-    return Status::InvalidArgument("sketch window must be >= 1");
+  // The cap keeps the windowed heavy-hitter counters, which count at
+  // most window + bucket width values, inside uint32.
+  if (window < 1 || window > (std::uint64_t{1} << 31)) {
+    return Status::InvalidArgument("sketch window must be in [1, 2^31]");
   }
   if (buckets < 1 || buckets > 64) {
     return Status::InvalidArgument("sketch buckets must be in [1, 64]");

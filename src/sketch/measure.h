@@ -5,13 +5,14 @@
 // heavy-hitter count (CountMin + candidates), or a quantile (P²). None of
 // the underlying sketches support deletion, so sliding semantics come from
 // a bucket ring: the window is split into `buckets` sub-sketches of
-// window/buckets values each; a full bucket rotates out the oldest
-// sub-sketch, and Estimate() merges the live buckets. The window therefore
-// slides with bucket granularity (a standard tumbling-bucket
-// approximation), and every sketch only needs a mergeable union
-// (register max for HLL, counter addition for CountMin) or cheap
-// re-aggregation (P² markers are not mergeable; the quantile measure
-// estimates from the newest full coverage instead, see QuantileMeasure).
+// window/buckets values each, and a full bucket rotates out the oldest
+// sub-sketch. The window therefore slides with bucket granularity (a
+// standard tumbling-bucket approximation). The mergeable sketches keep the
+// union of their live buckets up to date as values arrive (register max
+// for HLL; counter sums for CountMin), re-deriving it only at rotation, so
+// Estimate() reads it without merging. P² markers are not mergeable; the
+// quantile measure estimates from the oldest staggered estimator instead,
+// see QuantileMeasure.
 //
 // Instances live inside FeaturePipeline, one per (stream, registered
 // sketch slot); AppendRun is the batched maintenance entry point used by
@@ -106,8 +107,8 @@ class SketchMeasure {
 
  protected:
   std::uint64_t appends_ = 0;
-  // merges happen inside const Estimate() (bucket-union on demand).
-  mutable std::uint64_t merges_ = 0;
+  // Bucket unions done at ring rotation.
+  std::uint64_t merges_ = 0;
   mutable std::uint64_t estimate_calls_ = 0;
 };
 
