@@ -144,8 +144,10 @@ std::size_t CountMin::HeavyHitterCount(double phi) const {
   return hitters;
 }
 
-void CountMin::AddCounters(const CountMin& other) {
-  SD_DCHECK(other.width_ == width_ && other.depth_ == depth_);
+Status CountMin::AddCounters(const CountMin& other) {
+  if (!SameShape(other)) {
+    return Status::InvalidArgument("CountMin counter union shape mismatch");
+  }
   std::uint32_t top = 0;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     counters_[i] += other.counters_[i];
@@ -153,12 +155,14 @@ void CountMin::AddCounters(const CountMin& other) {
   }
   max_count_ = top;
   total_ += other.total_;
+  return Status::OK();
 }
 
-void CountMin::SlideCounters(const CountMin& entering,
-                             const CountMin& leaving) {
-  SD_DCHECK(entering.width_ == width_ && entering.depth_ == depth_);
-  SD_DCHECK(leaving.width_ == width_ && leaving.depth_ == depth_);
+Status CountMin::SlideCounters(const CountMin& entering,
+                               const CountMin& leaving) {
+  if (!SameShape(entering) || !SameShape(leaving)) {
+    return Status::InvalidArgument("CountMin counter slide shape mismatch");
+  }
   std::uint32_t top = 0;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     counters_[i] = counters_[i] + entering.counters_[i] -
@@ -167,11 +171,12 @@ void CountMin::SlideCounters(const CountMin& entering,
   }
   max_count_ = top;
   total_ = total_ + entering.total_ - leaving.total_;
+  return Status::OK();
 }
 
 std::uint64_t CountMin::EstimateBitsPlus(const CountMin& other,
                                          std::uint64_t bits) const {
-  SD_DCHECK(other.width_ == width_ && other.depth_ == depth_);
+  SD_DCHECK(SameShape(other));
   std::uint64_t est = UINT64_MAX;
   for (std::size_t r = 0; r < depth_; ++r) {
     const std::size_t i = r * width_ + Index(r, bits);

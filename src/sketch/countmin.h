@@ -52,14 +52,14 @@ class CountMin {
   std::size_t HeavyHitterCount(double phi) const;
 
   /// Counter-only union: adds `other`'s counters and total, leaving the
-  /// candidate set alone. `other` must share this sketch's shape, and the
-  /// sums must fit in uint32 (the windowed measure caps its window at
-  /// 2^31 values for this).
-  void AddCounters(const CountMin& other);
+  /// candidate set alone. Fails, changing nothing, unless `other` shares
+  /// this sketch's shape. The sums must fit in uint32 (the windowed
+  /// measure caps its window at 2^31 values for this).
+  Status AddCounters(const CountMin& other);
   /// One pass of AddCounters(entering) and its inverse for `leaving`,
   /// which must already be part of the sum: slides a counter sum over a
-  /// bucket ring.
-  void SlideCounters(const CountMin& entering, const CountMin& leaving);
+  /// bucket ring. Fails, changing nothing, on a shape mismatch.
+  Status SlideCounters(const CountMin& entering, const CountMin& leaving);
   /// Point estimate of the value with SketchValueBits `bits` against the
   /// element-wise sum of this sketch's counters and `other`'s, without
   /// materializing the sum. `other` must share this sketch's shape.
@@ -83,6 +83,9 @@ class CountMin {
   Status RestoreFrom(Reader* reader);
 
  private:
+  bool SameShape(const CountMin& other) const {
+    return other.width_ == width_ && other.depth_ == depth_;
+  }
   /// Per-row counter index of a value's hash.
   std::size_t Index(std::size_t row, std::uint64_t bits) const {
     return static_cast<std::size_t>(

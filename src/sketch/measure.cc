@@ -187,7 +187,7 @@ class HeavyHittersMeasure final : public SketchMeasure {
       if (fill_ == width_) {
         const std::size_t filled = head_;
         head_ = (head_ + 1) % ring_.size();
-        closed_.SlideCounters(ring_[filled], ring_[head_]);
+        SD_CHECK(closed_.SlideCounters(ring_[filled], ring_[head_]).ok());
         ring_[head_].Clear();
         fill_ = 0;
         CollectClosedCandidates();
@@ -259,7 +259,7 @@ class HeavyHittersMeasure final : public SketchMeasure {
     }
     closed_.Clear();
     for (std::size_t b = 0; b < ring_.size(); ++b) {
-      if (b != head_) closed_.AddCounters(ring_[b]);
+      if (b != head_) SD_RETURN_NOT_OK(closed_.AddCounters(ring_[b]));
     }
     CollectClosedCandidates();
     return Status::OK();

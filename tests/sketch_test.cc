@@ -70,6 +70,31 @@ TEST(HyperLogLogTest, SpanMatchesScalarAppends) {
   EXPECT_DOUBLE_EQ(scalar.Estimate(), batched.Estimate());
 }
 
+TEST(HyperLogLogTest, RegisterMaxEqualsUnion) {
+  // The windowed distinct measure unions buckets by register max and
+  // estimates from the union's histogram.
+  HyperLogLog a(12), b(12), both(12);
+  for (int i = 0; i < 4000; ++i) {
+    a.Add(static_cast<double>(i));
+    both.Add(static_cast<double>(i));
+  }
+  for (int i = 2000; i < 6000; ++i) {
+    b.Add(static_cast<double>(i));
+    both.Add(static_cast<double>(i));
+  }
+  std::vector<std::uint8_t> max(a.num_registers());
+  for (std::size_t i = 0; i < max.size(); ++i) {
+    max[i] = std::max(a.registers()[i], b.registers()[i]);
+  }
+  HyperLogLog::RankHistogram max_hist, both_hist;
+  HyperLogLog::FillHistogram(max.data(), max.size(), &max_hist);
+  HyperLogLog::FillHistogram(both.registers(), both.num_registers(),
+                             &both_hist);
+  EXPECT_EQ(max_hist, both_hist);
+  EXPECT_EQ(HyperLogLog::EstimateFromHistogram(max_hist, max.size()),
+            both.Estimate());
+}
+
 TEST(HyperLogLogTest, SerializationRoundTrip) {
   HyperLogLog hll(11);
   for (int i = 0; i < 10000; ++i) hll.Add(static_cast<double>(i % 3000));
@@ -156,6 +181,77 @@ TEST(CountMinTest, SpanMatchesScalarAppends) {
     EXPECT_EQ(scalar.EstimateCount(key), batched.EstimateCount(key));
   }
   EXPECT_EQ(scalar.HeavyHitterCount(0.01), batched.HeavyHitterCount(0.01));
+}
+
+// Random keys over a domain several times the sketch width, so counters
+// are shared by colliding keys.
+std::vector<double> CollidingKeys(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<double> keys(n);
+  for (double& k : keys) k = std::floor(rng.NextDouble(0.0, 300.0));
+  return keys;
+}
+
+TEST(CountMinTest, AddCountersAddsCounts) {
+  const std::vector<double> xs = CollidingKeys(11, 3000);
+  const std::vector<double> ys = CollidingKeys(12, 2000);
+  CountMin a(0.05, 4, 16), b(0.05, 4, 16), both(0.05, 4, 16);
+  a.AddSpan(xs.data(), xs.size());
+  b.AddSpan(ys.data(), ys.size());
+  both.AddSpan(xs.data(), xs.size());
+  both.AddSpan(ys.data(), ys.size());
+  // EstimateBitsPlus reads the same sum without materializing it.
+  for (int key = 0; key < 300; ++key) {
+    EXPECT_EQ(a.EstimateBitsPlus(b, SketchValueBits(key)),
+              both.EstimateCount(key))
+        << "key " << key;
+  }
+  const std::vector<CountMin::Candidate> tracked = a.candidates();
+  ASSERT_TRUE(a.AddCounters(b).ok());
+  EXPECT_EQ(a.total(), both.total());
+  EXPECT_EQ(a.max_count(), both.max_count());
+  for (int key = 0; key < 300; ++key) {
+    EXPECT_EQ(a.EstimateCount(key), both.EstimateCount(key)) << "key " << key;
+  }
+  // Counters only: the candidate set is left as it was.
+  ASSERT_EQ(a.candidates().size(), tracked.size());
+  for (std::size_t i = 0; i < tracked.size(); ++i) {
+    EXPECT_EQ(a.candidates()[i].bits, tracked[i].bits);
+    EXPECT_EQ(a.candidates()[i].count, tracked[i].count);
+  }
+  CountMin other(0.1, 2, 16);
+  EXPECT_FALSE(other.AddCounters(b).ok());
+  EXPECT_EQ(other.total(), 0u);
+}
+
+TEST(CountMinTest, SlideCountersSlidesSum) {
+  const std::vector<double> xs = CollidingKeys(21, 3000);
+  const std::vector<double> ys = CollidingKeys(22, 2000);
+  const std::vector<double> zs = CollidingKeys(23, 2500);
+  CountMin sum(0.05, 4, 16), leaving(0.05, 4, 16), entering(0.05, 4, 16),
+      expected(0.05, 4, 16);
+  sum.AddSpan(xs.data(), xs.size());
+  sum.AddSpan(ys.data(), ys.size());
+  leaving.AddSpan(ys.data(), ys.size());
+  entering.AddSpan(zs.data(), zs.size());
+  expected.AddSpan(xs.data(), xs.size());
+  expected.AddSpan(zs.data(), zs.size());
+  ASSERT_TRUE(sum.SlideCounters(entering, leaving).ok());
+  EXPECT_EQ(sum.total(), expected.total());
+  EXPECT_EQ(sum.max_count(), expected.max_count());
+  for (int key = 0; key < 300; ++key) {
+    EXPECT_EQ(sum.EstimateCount(key), expected.EstimateCount(key))
+        << "key " << key;
+  }
+  // A shape mismatch on either side is rejected and changes nothing.
+  CountMin narrow(0.1, 2, 16), shallow(0.05, 3, 16);
+  EXPECT_FALSE(sum.SlideCounters(narrow, leaving).ok());
+  EXPECT_FALSE(sum.SlideCounters(entering, shallow).ok());
+  EXPECT_EQ(sum.total(), expected.total());
+  for (int key = 0; key < 300; ++key) {
+    EXPECT_EQ(sum.EstimateCount(key), expected.EstimateCount(key))
+        << "key " << key;
+  }
 }
 
 TEST(CountMinTest, SerializationRoundTrip) {
